@@ -11,7 +11,7 @@
 #include "bench_util.h"
 #include "cost/cost_model.h"
 #include "cost/expected_cost.h"
-#include "exec/engine_simulator.h"
+#include "exec/plan_executor.h"
 #include "optimizer/algorithm_c.h"
 #include "storage/buffer_pool.h"
 #include "storage/external_sort.h"
@@ -53,7 +53,8 @@ int main() {
                               {0}, m == JoinMethod::kSortMerge ? 0 : kUnsorted,
                               8);
       double analytic = model.JoinCost(m, 1000, 400, memory);
-      EngineRunResult run = ExecutePlanOnEngine(plan, q, data, {memory});
+      ExecutionResult run =
+          ExecutePlan(plan, q, data, {.memory_by_phase = {memory}});
       std::printf(" %10.0f %10llu", analytic,
                   static_cast<unsigned long long>(run.total_io()));
     }
@@ -99,9 +100,10 @@ int main() {
   auto measure = [&](const PlanPtr& plan) {
     double total = 0;
     for (const Bucket& m : memory.buckets()) {
-      total += m.prob * static_cast<double>(
-                            ExecutePlanOnEngine(plan, q2, data2, {m.value})
-                                .total_io());
+      total += m.prob *
+               static_cast<double>(
+                   ExecutePlan(plan, q2, data2, {.memory_by_phase = {m.value}})
+                       .total_io());
     }
     return total;
   };

@@ -44,28 +44,6 @@ void BM_SystemR(benchmark::State& state) {
 }
 BENCHMARK(BM_SystemR)->DenseRange(3, 9, 2);
 
-// The same DP through the legacy type-erased std::function adapter —
-// the baseline the templated provider path must beat (or at least match).
-void BM_SystemRTypeErased(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  Workload w = MakeWorkload(n);
-  CostModel model;
-  OptimizerOptions opts;
-  const double memory = 800;
-  for (auto _ : state) {
-    DpContext ctx(w.query, w.catalog, opts);
-    JoinCostFn join = [&model, memory](JoinMethod m, double l, double r,
-                                       bool ls, bool rs, int) {
-      return model.JoinCost(m, l, r, memory, ls, rs);
-    };
-    SortCostFn sort = [&model, memory](double pages, int) {
-      return model.SortCost(pages, memory);
-    };
-    benchmark::DoNotOptimize(RunDp(ctx, join, sort));
-  }
-}
-BENCHMARK(BM_SystemRTypeErased)->DenseRange(3, 9, 2);
-
 void BM_AlgorithmC(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   size_t b = static_cast<size_t>(state.range(1));

@@ -1,10 +1,14 @@
-// Executing optimizer plans with per-phase tracing, drift detection and
-// mid-flight re-optimization.
+// Executing optimizer plans on the mini storage engine, with per-phase
+// tracing, drift detection and mid-flight re-optimization.
 //
-// engine_simulator.h answers "what did this plan cost" as two totals; this
-// module is the full execution loop the ROADMAP's close-the-loop item asks
-// for. It runs an OptimizeResult plan phase by phase through the real
-// storage/ operators, and after every join:
+// The paper's §4 prototype goal ("test its benefits against realistic
+// queries and execution environments") is served here: plans chosen by the
+// optimizers run against synthetic page-level data through the real
+// storage/ join operators, and the *measured* page I/O — not the cost
+// model's own formulas — decides which plan was actually cheaper. A caller
+// that only wants the totals reads ExecutionResult::total_io() and
+// result_tuples(). The executor runs an OptimizeResult plan phase by phase,
+// and after every join:
 //
 //   * records a PhaseTrace — operator, input/output pages (planned AND
 //     realized), charged I/O, the memory value in force;
@@ -25,16 +29,20 @@
 // (plan_executor_test.cc; fuzz invariant I12). Re-optimization changes
 // only which plan the tail executes, never the answer.
 //
-// Scope matches engine_simulator: chain queries, left-deep plans.
+// Scope: chain queries (predicate i connects positions i and i+1), which is
+// what two join-key columns per tuple can route. Every connected subset of
+// a chain is an interval, so all left-deep plans the optimizers emit are
+// executable; a sort is accepted only at the root (ORDER BY) or directly
+// above an inner access (enforcer), which is where the optimizers put them.
 #ifndef LECOPT_EXEC_PLAN_EXECUTOR_H_
 #define LECOPT_EXEC_PLAN_EXECUTOR_H_
 
 #include <cstdint>
 #include <vector>
 
+#include "catalog/catalog.h"
 #include "cost/measured_cost.h"
 #include "dist/markov.h"
-#include "exec/engine_simulator.h"
 #include "optimizer/dp_common.h"
 #include "plan/plan.h"
 #include "query/query.h"
@@ -42,6 +50,19 @@
 #include "util/rng.h"
 
 namespace lec {
+
+/// Materialized synthetic data for a chain query, one relation per query
+/// position, with join-key ranges tuned to the predicates' mean
+/// selectivities.
+struct EngineWorkload {
+  std::vector<TableData> tables;
+};
+
+/// Generates data for a chain query (throws if the query's predicates are
+/// not exactly {(0,1), (1,2), ...}). Table page counts come from the
+/// catalog, so use a scaled-down catalog for engine runs.
+EngineWorkload BuildChainEngineWorkload(const Query& query,
+                                        const Catalog& catalog, Rng* rng);
 
 /// One executed operator (a join phase, or the final ORDER BY sort).
 struct PhaseTrace {
@@ -93,7 +114,7 @@ struct ExecutePlanOptions {
   const Distribution* memory_dist = nullptr;
 
   /// Passed through to suffix re-planning.
-  OptimizerOptions optimizer_options;
+  OptimizerOptions optimizer_options{};
 
   /// Record an OperatorSample per executed operator (joins, enforcer
   /// sorts, the final sort) into ExecutionResult::samples.
@@ -117,7 +138,9 @@ struct ExecutionResult {
 /// left-deep over adjacent chain positions (what the optimizers emit for
 /// chain queries); the workload must have one TableData per query position
 /// (BuildChainEngineWorkload's shape). Throws std::invalid_argument on
-/// shape violations, like engine_simulator.
+/// shape violations: a workload of the wrong size, a non-left-deep plan, a
+/// join of non-adjacent chain positions, a hybrid-hash join (analytic
+/// only), or an empty memory_by_phase.
 ExecutionResult ExecutePlan(const PlanPtr& plan, const Query& query,
                             const EngineWorkload& workload,
                             const ExecutePlanOptions& options);

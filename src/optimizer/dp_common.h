@@ -9,7 +9,7 @@
 // per-phase expected cost under Markov marginals) and in how many entries
 // are retained per node (one for System R / Algorithm C, top-c for
 // Algorithm B, one per result-size distribution for Algorithm D). The
-// common skeleton lives here, parameterized by cost callbacks.
+// common skeleton lives here, parameterized by a cost provider.
 #ifndef LECOPT_OPTIMIZER_DP_COMMON_H_
 #define LECOPT_OPTIMIZER_DP_COMMON_H_
 
@@ -18,7 +18,6 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -175,16 +174,6 @@ struct OptimizeResult {
   std::shared_ptr<const rewrite::RewriteOutcome> rewrite;
 };
 
-/// How a candidate join step is costed. `phase_idx` is the 0-based phase in
-/// which the join executes (the join forming a subset of size s runs in
-/// phase s-2; §3.5). Returns the step's cost contribution.
-using JoinCostFn = std::function<double(
-    JoinMethod method, double left_pages, double right_pages,
-    bool left_sorted, bool right_sorted, int phase_idx)>;
-
-/// Cost of sorting `pages` in phase `phase_idx` (enforcers + final ORDER BY).
-using SortCostFn = std::function<double(double pages, int phase_idx)>;
-
 /// Precomputed per-query quantities shared by the DP algorithms.
 class DpContext {
  public:
@@ -247,11 +236,12 @@ struct DpEntry {
 /// Per-subset DP state keyed by output order (interesting orders).
 using OrderMap = std::map<OrderId, DpEntry>;
 
-/// How RunDp's cost provider is shaped: a join-step cost and a sort cost,
-/// both phase-aware. Concrete providers (one per strategy, defined next to
-/// each entry point) dispatch statically — no std::function erasure on the
-/// per-candidate hot path. The erased JoinCostFn/SortCostFn API below is
-/// kept as a thin adapter for tests and one-off callers.
+/// How RunDp's cost provider is shaped: a join-step cost and a sort cost
+/// (enforcers + final ORDER BY), both phase-aware — `phase` is the 0-based
+/// phase in which the step executes (the join forming a subset of size s
+/// runs in phase s-2; §3.5). Concrete providers (one per strategy, defined
+/// next to each entry point) dispatch statically, so the per-candidate hot
+/// path makes no indirect calls.
 template <typename P>
 concept DpCostProvider =
     requires(const P& p, JoinMethod m, double pages, bool sorted, int phase) {
@@ -940,29 +930,6 @@ OptimizeResult RunDpLegacy(const DpContext& ctx, const P& cost) {
   result.plan = best_plan;
   result.objective = best;
   return result;
-}
-
-/// Adapter keeping the historical type-erased API: wraps the two
-/// std::functions in a provider. Pays one indirect call per candidate, so
-/// the hot strategies use concrete providers instead; bench_opt_scaling
-/// measures the difference.
-struct ErasedCostProvider {
-  const JoinCostFn& join_cost;
-  const SortCostFn& sort_cost;
-
-  double JoinCost(JoinMethod m, double left_pages, double right_pages,
-                  bool left_sorted, bool right_sorted, int phase_idx) const {
-    return join_cost(m, left_pages, right_pages, left_sorted, right_sorted,
-                     phase_idx);
-  }
-  double SortCost(double pages, int phase_idx) const {
-    return sort_cost(pages, phase_idx);
-  }
-};
-
-inline OptimizeResult RunDp(const DpContext& ctx, const JoinCostFn& join_cost,
-                            const SortCostFn& sort_cost) {
-  return RunDp(ctx, ErasedCostProvider{join_cost, sort_cost});
 }
 
 }  // namespace lec

@@ -204,8 +204,8 @@ EngineReplayStats EngineReplay::Replay(const PlanPtr& plan,
     } else {
       memory_by_phase.assign(phases, memory.Sample(rng));
     }
-    EngineRunResult run =
-        ExecutePlanOnEngine(plan, query, workload_, memory_by_phase);
+    ExecutionResult run = ExecutePlan(plan, query, workload_,
+                                      {.memory_by_phase = memory_by_phase});
     double io = static_cast<double>(run.total_io());
     out.min_io = std::min(out.min_io, io);
     out.max_io = std::max(out.max_io, io);

@@ -13,7 +13,7 @@
 // is deliberately approximate; its error is measured, not assumed away).
 //
 // A second entry point replays plans through the executing storage engine
-// (exec/engine_simulator) across sampled memory environments — ground truth
+// (exec/plan_executor) across sampled memory environments — ground truth
 // for the model's *shape* (measured page I/O), not its exact values.
 #ifndef LECOPT_VERIFY_MC_VALIDATOR_H_
 #define LECOPT_VERIFY_MC_VALIDATOR_H_
@@ -24,7 +24,7 @@
 #include "cost/cost_model.h"
 #include "cost/expected_cost.h"
 #include "dist/markov.h"
-#include "exec/engine_simulator.h"
+#include "exec/plan_executor.h"
 #include "util/rng.h"
 
 namespace lec::verify {
@@ -128,7 +128,7 @@ struct EngineReplayStats {
 class EngineReplay {
  public:
   /// Materializes data via BuildChainEngineWorkload (chain queries only —
-  /// see engine_simulator.h for the scope contract; use a scaled-down
+  /// see plan_executor.h for the scope contract; use a scaled-down
   /// catalog).
   EngineReplay(const Query& query, const Catalog& catalog, Rng* rng);
 

@@ -1,10 +1,10 @@
-// End-to-end integration tests: optimizer family x simulators x engine.
+// End-to-end integration tests: optimizer family x simulator x executor.
 #include <gtest/gtest.h>
 
 #include "cost/expected_cost.h"
 #include "dist/builders.h"
 #include "exec/analytic_simulator.h"
-#include "exec/engine_simulator.h"
+#include "exec/plan_executor.h"
 #include "optimizer/algorithm_a.h"
 #include "optimizer/algorithm_b.h"
 #include "optimizer/algorithm_c.h"
@@ -135,7 +135,8 @@ TEST(IntegrationTest, LecBeatsLscOnRealEngine) {
   auto measure = [&](const PlanPtr& plan) {
     double total = 0;
     for (const Bucket& m : memory.buckets()) {
-      EngineRunResult r = ExecutePlanOnEngine(plan, q, data, {m.value});
+      ExecutionResult r = ExecutePlan(plan, q, data,
+                                      {.memory_by_phase = {m.value}});
       total += m.prob * static_cast<double>(r.total_io());
     }
     return total;

@@ -94,6 +94,42 @@ PlanPtr ChainPlan(const std::vector<QueryPos>& order, JoinMethod method,
   return plan;
 }
 
+// --- Workload generation ----------------------------------------------------
+
+TEST(PlanExecutorTest, WorkloadShapeMatchesCatalog) {
+  ChainFixture f({1000, 400}, 1e-4, 1);
+  ASSERT_EQ(f.data.tables.size(), 2u);
+  EXPECT_EQ(f.data.tables[0].num_pages(), 1000u);
+  EXPECT_EQ(f.data.tables[1].num_pages(), 400u);
+}
+
+TEST(PlanExecutorTest, RejectsNonChainQueries) {
+  Catalog catalog;
+  catalog.AddTable("A", 10);
+  catalog.AddTable("B", 10);
+  catalog.AddTable("C", 10);
+  Query q;
+  q.AddTable(0);
+  q.AddTable(1);
+  q.AddTable(2);
+  q.AddPredicate(0, 2, 0.01);  // not chain-adjacent as predicate 0
+  q.AddPredicate(1, 2, 0.01);
+  Rng rng(2);
+  EXPECT_THROW(BuildChainEngineWorkload(q, catalog, &rng),
+               std::invalid_argument);
+}
+
+TEST(PlanExecutorTest, ResultSizeNearExpectation) {
+  ChainFixture f({200, 100}, 1e-3, 3);
+  PlanPtr plan = ChainPlan({0, 1}, JoinMethod::kGraceHash);
+  ExecutionResult r =
+      ExecutePlan(plan, f.query, f.data, {.memory_by_phase = {50}});
+  // Expected tuples = sel * |A| * |B| * tuples_per_page = 1e-3*200*100*64.
+  double expected = 1e-3 * 200 * 100 * kTuplesPerPage;
+  EXPECT_GT(static_cast<double>(r.result_tuples()), expected * 0.7);
+  EXPECT_LT(static_cast<double>(r.result_tuples()), expected * 1.3);
+}
+
 // --- Correctness across methods and spill regimes -------------------------
 
 TEST(PlanExecutorTest, MultisetMatchesNaiveReferenceAllMethodsAllRegimes) {
@@ -176,6 +212,120 @@ TEST(PlanExecutorTest, FinalSortIsExecutedAndTraced) {
     prev = t.cols[0];
   });
   EXPECT_TRUE(ordered);
+}
+
+TEST(PlanExecutorTest, MeasuredIoCrossesModelThreshold) {
+  // The decisive fidelity property behind Example 1.1: dropping memory
+  // below sqrt(L) costs the sort-merge join an extra pass over the data in
+  // *both* the model and the engine. A scaled-down Example 1.1: A = 1000
+  // pages, B = 400; probe well above and well below sqrt(1000) ~ 31.6.
+  ChainFixture f({1000, 400}, 1e-4, 5);
+  PlanPtr sm = ChainPlan({0, 1}, JoinMethod::kSortMerge);
+  ExecutionResult plenty =
+      ExecutePlan(sm, f.query, f.data, {.memory_by_phase = {60}});
+  ExecutionResult tight =
+      ExecutePlan(sm, f.query, f.data, {.memory_by_phase = {12}});
+  // An extra merge pass re-reads and re-writes ~1400 pages.
+  EXPECT_GT(tight.total_io(), plenty.total_io() + 2000);
+}
+
+// --- Engine-scale workloads ---------------------------------------------------
+// Larger BuildChainEngineWorkload inputs, where every join input spills at
+// the memory used, run through the same ExecutePlan path.
+
+TEST(EngineSimulatorTest, AllMethodsProduceSameResultCount) {
+  ChainFixture f({60, 40}, 1e-3, 4);
+  std::vector<int64_t> want = PayloadMultiset(NaiveCompose(f.data, {0, 1}));
+  ASSERT_FALSE(want.empty());
+  size_t counts[3];
+  int i = 0;
+  for (JoinMethod m : kAllJoinMethods) {
+    PlanPtr plan =
+        MakeJoin(MakeAccess(0, 60), MakeAccess(1, 40), m, {0}, kUnsorted, 2);
+    ExecutionResult r =
+        ExecutePlan(plan, f.query, f.data, {.memory_by_phase = {12}});
+    EXPECT_EQ(PayloadMultiset(r.result), want) << ToString(m);
+    counts[i++] = r.result_tuples();
+  }
+  EXPECT_EQ(counts[0], counts[1]);
+  EXPECT_EQ(counts[1], counts[2]);
+}
+
+TEST(EngineSimulatorTest, ThreeTableChainExecutesAnyLeftDeepOrder) {
+  ChainFixture f({40, 30, 20}, 2e-3, 6);
+  // Order (A B) C.
+  PlanPtr ab = MakeJoin(MakeAccess(0, 40), MakeAccess(1, 30),
+                        JoinMethod::kGraceHash, {0}, kUnsorted, 2.4);
+  PlanPtr abc = MakeJoin(ab, MakeAccess(2, 20), JoinMethod::kGraceHash, {1},
+                         kUnsorted, 0.1);
+  // Order (B C) A — extends the interval to the left.
+  PlanPtr bc = MakeJoin(MakeAccess(1, 30), MakeAccess(2, 20),
+                        JoinMethod::kGraceHash, {1}, kUnsorted, 1.2);
+  PlanPtr bca = MakeJoin(bc, MakeAccess(0, 40), JoinMethod::kGraceHash, {0},
+                         kUnsorted, 0.1);
+  ExecutionResult r1 =
+      ExecutePlan(abc, f.query, f.data, {.memory_by_phase = {16}});
+  ExecutionResult r2 =
+      ExecutePlan(bca, f.query, f.data, {.memory_by_phase = {16}});
+  // Join results must agree regardless of order.
+  EXPECT_EQ(r1.result_tuples(), r2.result_tuples());
+  EXPECT_EQ(PayloadMultiset(r1.result), PayloadMultiset(r2.result));
+}
+
+TEST(EngineSimulatorTest, SortEnforcerChargesIo) {
+  ChainFixture f({100, 50}, 5e-4, 7);
+  PlanPtr join = MakeJoin(MakeAccess(0, 100), MakeAccess(1, 50),
+                          JoinMethod::kGraceHash, {0}, kUnsorted, 2.5);
+  PlanPtr sorted = MakeSort(join, 0);
+  ExecutionResult without =
+      ExecutePlan(join, f.query, f.data, {.memory_by_phase = {8}});
+  ExecutionResult with =
+      ExecutePlan(sorted, f.query, f.data, {.memory_by_phase = {8}});
+  EXPECT_GT(with.total_io(), without.total_io());
+  EXPECT_EQ(with.result_tuples(), without.result_tuples());
+}
+
+TEST(EngineSimulatorTest, DynamicMemoryByPhase) {
+  ChainFixture f({40, 30, 20}, 2e-3, 8);
+  PlanPtr ab = MakeJoin(MakeAccess(0, 40), MakeAccess(1, 30),
+                        JoinMethod::kSortMerge, {0}, 0, 2.4);
+  PlanPtr abc = MakeJoin(ab, MakeAccess(2, 20), JoinMethod::kSortMerge, {1},
+                         1, 0.1);
+  // Phase 0 rich, phase 1 starved vs the reverse: different I/O totals
+  // (phase 0 moves more data, so starving it hurts more).
+  ExecutionResult rich_then_poor =
+      ExecutePlan(abc, f.query, f.data, {.memory_by_phase = {32, 3}});
+  ExecutionResult poor_then_rich =
+      ExecutePlan(abc, f.query, f.data, {.memory_by_phase = {3, 32}});
+  EXPECT_NE(rich_then_poor.total_io(), poor_then_rich.total_io());
+  EXPECT_GT(poor_then_rich.total_io(), rich_then_poor.total_io());
+}
+
+// --- Input validation --------------------------------------------------------
+
+TEST(PlanExecutorTest, EmptyMemoryVectorRejected) {
+  ChainFixture f({10, 10}, 1e-2, 9);
+  PlanPtr plan = ChainPlan({0, 1}, JoinMethod::kGraceHash);
+  EXPECT_THROW(ExecutePlan(plan, f.query, f.data, {.memory_by_phase = {}}),
+               std::invalid_argument);
+}
+
+TEST(PlanExecutorTest, WorkloadSizeMismatchRejected) {
+  // A 4-table chain with data for only 3 positions. Drift re-planning
+  // rebuilds the remainder from workload.tables by original position, so
+  // the shape must be checked before anything runs.
+  ChainFixture f({18, 10, 14, 8}, 0.03, 13);
+  f.data.tables.pop_back();
+  CostModel model;
+  PlanPtr plan = ChainPlan({0, 1, 2, 3}, JoinMethod::kGraceHash,
+                           /*est_pages=*/0.01);
+  ExecutePlanOptions opts;
+  opts.memory_by_phase = {8.0};
+  opts.drift_threshold = 0.0;
+  opts.reoptimize_on_drift = true;
+  opts.model = &model;
+  EXPECT_THROW(ExecutePlan(plan, f.query, f.data, opts),
+               std::invalid_argument);
 }
 
 // --- Drift detection and mid-flight re-optimization -----------------------
