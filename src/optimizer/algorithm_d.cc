@@ -35,10 +35,13 @@ bool FastPathValid(const CostModel& model, JoinMethod method,
 // Known duplication: the candidate-enumeration nest below repeats
 // RunDpInto's shape (dp_common.h) with a distribution-valued cost seam —
 // per-subset views/hashes/means, the cache-or-compute step, D's
-// cost_evaluations accounting. Folding both into one template needs a
-// richer provider seam (per-(subset, j) context) than DpCostProvider
-// offers today; until that refactor, I7's plan/objective parity checks
-// are the tripwire that catches the two copies drifting apart.
+// cost_evaluations accounting. Both already share the per-step
+// StepCostMemo (dp_common.h), which here sits behind the EcCache so the
+// cache sees exactly the lookups it always did. Folding the two nests
+// into one template needs a richer provider seam (per-(subset, j)
+// context) than DpCostProvider offers today; until that refactor, I7's
+// plan/objective parity checks are the tripwire that catches the two
+// copies drifting apart.
 // ---------------------------------------------------------------------------
 
 /// Reusable per-thread state of the kernel path; Prepare only grows.
@@ -46,9 +49,15 @@ struct DScratch {
   std::vector<DistView> size_view;
   std::vector<uint64_t> size_hash;
   std::vector<double> size_mean;
-  DpScratch dp;  // also supplies the predicate scratch via dp.preds()
+  /// Per subset: size_view/size_mean/size_hash already derived this run.
+  std::vector<uint8_t> have;
+  /// Predicate scratch of the size derivation. Kept apart from dp.preds(),
+  /// which the candidate loop holds across the derivation of its left
+  /// subset.
+  std::vector<int> size_preds;
+  DpScratch dp;  // also supplies the candidate loop's dp.preds()
 
-  void Prepare(size_t num_subsets) {
+  void Prepare(size_t num_subsets, int num_predicates) {
     // Same retention policy as DpScratch::Prepare: a one-off outlier query
     // must not pin its worst-case tables on the thread forever.
     constexpr size_t kShrinkFloorSubsets = size_t{1} << 18;
@@ -60,14 +69,45 @@ struct DScratch {
       size_hash.shrink_to_fit();
       size_mean.clear();
       size_mean.shrink_to_fit();
+      have.clear();
+      have.shrink_to_fit();
     }
     if (size_view.size() < num_subsets) {
       size_view.resize(num_subsets);
       size_hash.resize(num_subsets);
       size_mean.resize(num_subsets);
+      have.resize(num_subsets);
     }
+    std::fill(have.begin(), have.begin() + num_subsets, uint8_t{0});
+    size_preds.reserve(static_cast<size_t>(num_predicates));
   }
 };
+
+/// Derives, once per run, the result-size distribution of subset `s` (and
+/// its mean, plus its content hash when an EcCache keys on it). Only the
+/// subsets the DP reaches are ever derived — O(n²) of the 2^n for a chain.
+/// |S| = |S_j| · |A_j| · σ for any j ∈ S (every internal predicate is
+/// counted exactly once across the recursive decomposition), so one
+/// derivation per subset suffices (§3.6.3). It always splits off the
+/// LOWEST member, as the legacy eager sweep does: JoinSizeViewInto's
+/// bucketing depends on the decomposition, so any other split would change
+/// result bits. Singletons are seeded by the caller.
+void DeriveSize(const Query& query, const OptimizerOptions& options,
+                bool want_hash, TableSet s, DistArena* arena, DScratch& sc) {
+  if (sc.have[s]) return;
+  QueryPos j = *MemberRange(s).begin();
+  TableSet sj = s & ~(TableSet{1} << j);
+  DeriveSize(query, options, want_hash, sj, arena, sc);
+  query.ConnectingPredicatesInto(sj, j, &sc.size_preds);
+  DistView sel = CombinedSelectivityViewInto(query, sc.size_preds,
+                                             options.size_buckets, arena);
+  sc.size_view[s] =
+      JoinSizeViewInto(sc.size_view[sj], sc.size_view[TableSet{1} << j], sel,
+                       options.size_buckets, options.size_mode, arena);
+  sc.size_mean[s] = ViewMean(sc.size_view[s]);
+  if (want_hash) sc.size_hash[s] = ViewContentHash(sc.size_view[s]);
+  sc.have[s] = 1;
+}
 
 DScratch& ThreadLocalDScratch() {
   thread_local DScratch scratch;
@@ -105,27 +145,29 @@ OptimizeResult OptimizeAlgorithmDKernel(const Query& query,
                                                    : &ThreadLocalDArena();
   arena->Reset();  // per-DP-instance reset: all views below die with us
   DScratch& sc = ThreadLocalDScratch();
-  sc.Prepare(num_subsets);
+  sc.Prepare(num_subsets, query.num_predicates());
   sc.dp.Prepare(n, query.num_predicates());
 
   DistView mem = memory.AsView();
   uint64_t mem_hash = cache != nullptr ? memory.ContentHash() : 0;
   EcMemoryProfile profile = BuildEcMemoryProfile(mem, arena);
 
-  // Memoized expected sort cost (enforcers and the final ORDER BY).
-  auto sort_ec = [&](TableSet s) {
-    auto compute = [&]() {
-      return ExpectedSortCostView(model, sc.size_view[s], mem);
-    };
+  // Expected sort cost of subset s (enforcers and the final ORDER BY),
+  // memoized in the EcCache when one is configured; `compute` runs on a
+  // miss.
+  auto sort_ec = [&](TableSet s, const auto& compute) {
     return cache != nullptr
                ? cache->SortEcView(sc.size_view[s], sc.size_hash[s], mem,
                                    mem_hash, compute)
                : compute();
   };
+  auto sort_formula = [&](TableSet s) {
+    return ExpectedSortCostView(model, sc.size_view[s], mem);
+  };
 
-  // Size distribution per subset (independent of join order; computed once
-  // per subset as §3.6.3 recommends). Base-table views are copied into the
-  // arena — SizeDistribution() returns a temporary.
+  // Base-table size distributions, copied into the arena —
+  // SizeDistribution() returns a temporary. Joined subsets are derived on
+  // demand (DeriveSize) as the DP reaches them.
   for (QueryPos p = 0; p < n; ++p) {
     TableSet s = TableSet{1} << p;
     Distribution base = catalog.table(query.table(p)).SizeDistribution();
@@ -136,35 +178,14 @@ OptimizeResult OptimizeAlgorithmDKernel(const Query& query,
       rebucketed = CopyInto(rebucketed, arena);  // un-alias the temporary
     }
     sc.size_view[s] = rebucketed;
-  }
-  for (int size = 2; size <= n; ++size) {
-    for (TableSet s = 1; s < num_subsets; ++s) {
-      if (SetSize(s) != size) continue;
-      // |S| = |S_j| · |A_j| · σ for any j ∈ S (every internal predicate is
-      // counted exactly once across the recursive decomposition), so one
-      // derivation per subset suffices (§3.6.3).
-      QueryPos j = *MemberRange(s).begin();
-      TableSet sj = s & ~(TableSet{1} << j);
-      query.ConnectingPredicatesInto(sj, j, &sc.dp.preds());
-      DistView sel = CombinedSelectivityViewInto(query, sc.dp.preds(),
-                                                 options.size_buckets, arena);
-      sc.size_view[s] =
-          JoinSizeViewInto(sc.size_view[sj], sc.size_view[TableSet{1} << j],
-                           sel, options.size_buckets, options.size_mode,
-                           arena);
-    }
-  }
-  for (TableSet s = 1; s < num_subsets; ++s) {
-    sc.size_mean[s] = ViewMean(sc.size_view[s]);
-    if (cache != nullptr) sc.size_hash[s] = ViewContentHash(sc.size_view[s]);
-  }
-
-  for (QueryPos p = 0; p < n; ++p) {
-    TableSet s = TableSet{1} << p;
+    sc.size_mean[s] = ViewMean(rebucketed);
+    if (cache != nullptr) sc.size_hash[s] = ViewContentHash(rebucketed);
+    sc.have[s] = 1;
     // Scan cost linear in size.
     sc.dp.RetainBest(s, kUnsorted, sc.size_mean[s], DpDecision{});
   }
 
+  StepCostMemo memo;
   for (int size = 2; size <= n; ++size) {
     for (TableSet s = 1; s < num_subsets; ++s) {
       if (SetSize(s) != size) continue;
@@ -173,12 +194,17 @@ OptimizeResult OptimizeAlgorithmDKernel(const Query& query,
         uint16_t left_count = sc.dp.Count(sj);
         if (left_count == 0) continue;
         if (ctx.CrossProductForbidden(sj, j)) continue;
+        DeriveSize(query, options, cache != nullptr, sj, arena, sc);
         query.ConnectingPredicatesInto(sj, j, &sc.dp.preds());
         const std::vector<int>& preds = sc.dp.preds();
         TableSet rs_set = TableSet{1} << j;
         DistView left_size = sc.size_view[sj];
         DistView right_size = sc.size_view[rs_set];
         double right_ec = sc.dp.Entries(rs_set)[0].cost;
+        memo.Reset();
+        auto enforcer_formula = [&] {
+          return memo.Sort([&] { return sort_formula(rs_set); });
+        };
 
         const DpFlatEntry* lefts = sc.dp.Entries(sj);
         for (uint16_t li = 0; li < left_count; ++li) {
@@ -192,28 +218,31 @@ OptimizeResult OptimizeAlgorithmDKernel(const Query& query,
               OrderId key = sort_merge ? preds[ki] : kUnsorted;
               bool with_enforcer =
                   sort_merge && options.consider_sort_enforcers;
-              double enforcer_ec = with_enforcer ? sort_ec(rs_set) : 0.0;
+              double enforcer_ec =
+                  with_enforcer ? sort_ec(rs_set, enforcer_formula) : 0.0;
               for (int inner = 0; inner < (with_enforcer ? 2 : 1); ++inner) {
                 bool rs = inner == 1;
                 ++result.candidates_considered;
                 ++result.candidates_by_phase[static_cast<size_t>(size - 2)];
                 bool ls = key != kUnsorted && left_order == key;
-                // The evaluation counters tick only when the formulas
-                // actually run; a cache hit skips both the work and the
-                // counter — cost_evaluations is the measure of work done.
+                // The evaluation counters tick only when the EcCache misses
+                // — a cache hit skips both the work and the counter. Behind
+                // the cache, a repeat within this step is replayed from the
+                // memo but still ticks what the formula would have.
                 auto compute_step = [&]() -> double {
-                  if (options.use_fast_ec &&
-                      FastPathValid(model, method, ls, rs)) {
-                    result.cost_evaluations +=
-                        left_size.n + right_size.n + mem.n;
-                    return FastEcJoin(method, left_size, right_size, profile,
-                                      sc.size_mean[sj],
-                                      sc.size_mean[rs_set]);
-                  }
+                  bool fast = options.use_fast_ec &&
+                              FastPathValid(model, method, ls, rs);
                   result.cost_evaluations +=
-                      left_size.n * right_size.n * mem.n;
-                  return ExpectedJoinCostView(model, method, left_size,
-                                              right_size, mem, ls, rs);
+                      fast ? left_size.n + right_size.n + mem.n
+                           : left_size.n * right_size.n * mem.n;
+                  return memo.Join(method, ls, rs, [&] {
+                    return fast ? FastEcJoin(method, left_size, right_size,
+                                             profile, sc.size_mean[sj],
+                                             sc.size_mean[rs_set])
+                                : ExpectedJoinCostView(model, method,
+                                                       left_size, right_size,
+                                                       mem, ls, rs);
+                  });
                 };
                 double step_ec =
                     cache != nullptr
@@ -244,6 +273,9 @@ OptimizeResult OptimizeAlgorithmDKernel(const Query& query,
   TableSet all = query.AllTables();
   uint16_t root_count = sc.dp.Count(all);
   if (root_count == 0) throw std::runtime_error("no plan found for query");
+  // Every subset the plan replay annotates was derived as some candidate's
+  // left input — except the root itself.
+  DeriveSize(query, options, cache != nullptr, all, arena, sc);
   const DpFlatEntry* roots = sc.dp.Entries(all);
   double best = std::numeric_limits<double>::infinity();
   OrderId best_order = kUnsorted;
@@ -252,7 +284,7 @@ OptimizeResult OptimizeAlgorithmDKernel(const Query& query,
     double total = roots[ri].cost;
     bool needs_sort =
         query.required_order() && roots[ri].order != *query.required_order();
-    if (needs_sort) total += sort_ec(all);
+    if (needs_sort) total += sort_ec(all, [&] { return sort_formula(all); });
     if (total < best) {
       best = total;
       best_order = roots[ri].order;

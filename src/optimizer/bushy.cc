@@ -22,6 +22,7 @@ OptimizeResult RunBushyDp(const DpContext& ctx, const P& cost) {
   std::vector<OrderMap> table(num_subsets);
   OptimizeResult result;
   std::vector<int> preds;  // reused across splits: 1 allocation, not 3^n
+  StepCostMemo memo;       // one step = one ordered split (s1, s2)
 
   for (QueryPos p = 0; p < n; ++p) {
     TableSet s = TableSet{1} << p;
@@ -43,6 +44,7 @@ OptimizeResult RunBushyDp(const DpContext& ctx, const P& cost) {
         }
         double left_pages = ctx.SubsetPages(s1);
         double right_pages = ctx.SubsetPages(s2);
+        memo.Reset();
         for (const auto& [left_order, left] : table[s1]) {
           for (const auto& [right_order, right] : table[s2]) {
             for (JoinMethod method : opts.join_methods) {
@@ -58,8 +60,10 @@ OptimizeResult RunBushyDp(const DpContext& ctx, const P& cost) {
                 ++result.cost_evaluations;
                 bool ls = key != kUnsorted && left_order == key;
                 bool rs = key != kUnsorted && right_order == key;
-                double step = cost.JoinCost(method, left_pages, right_pages,
-                                            ls, rs, /*phase_idx=*/0);
+                double step = memo.Join(method, ls, rs, [&] {
+                  return cost.JoinCost(method, left_pages, right_pages, ls,
+                                       rs, /*phase_idx=*/0);
+                });
                 OrderId out_order =
                     DpContext::JoinOutputOrder(method, left_order, key);
                 DpEntry e;

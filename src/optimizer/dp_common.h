@@ -139,8 +139,10 @@ struct OptimizeResult {
   double objective = 0;
   /// Join candidates (subset, j, method, enforcer) examined.
   size_t candidates_considered = 0;
-  /// Invocations of the underlying cost formulas; the paper's complexity
-  /// statements (Theorems 3.2/3.3) are in these units.
+  /// The Theorem 3.2/3.3 charge: cost-formula evaluations the DP's
+  /// candidates call for, in the paper's units. A repeat that the per-step
+  /// StepCostMemo serves within one join step still counts (the memo saves
+  /// time, not charge); a value an EcCache serves does not.
   size_t cost_evaluations = 0;
   /// Wall-clock seconds this optimization took. Stamped by every Optimize*
   /// entry point (and re-stamped by the lec::Optimizer facade with its full
@@ -324,6 +326,56 @@ struct DpFlatEntry {
   double cost = 0;
   OrderId order = kUnsorted;
   DpDecision decision;
+};
+
+/// Memo of one DP join step's cost-formula values. Within a step (s, j)
+/// — or a bushy split (s1, s2) — the input sizes and the phase are fixed,
+/// so a candidate's cost depends only on (method, left_sorted,
+/// inner_sorted), and the enforcer's sort cost on nothing at all. The DP
+/// cores enumerate left orders × sort-merge keys × inner alternatives,
+/// which repeats those few values many times over; the memo runs each
+/// formula once per step and replays the identical double for every
+/// repeat, so objectives and plans keep their exact bits. It only skips
+/// work: callers still tick the counters per candidate (Theorem 3.2/3.3
+/// units), and consult it after the branch-and-bound checks, so a pruned
+/// candidate never runs a formula. Stack-resident; Reset() per step.
+class StepCostMemo {
+ public:
+  void Reset() { valid_ = 0; }
+
+  /// The join-step cost for this (method, left_sorted, inner_sorted),
+  /// running `compute` on the step's first request for it.
+  template <typename F>
+  double Join(JoinMethod method, bool left_sorted, bool inner_sorted,
+              const F& compute) {
+    unsigned slot = static_cast<unsigned>(method) * 4u +
+                    (left_sorted ? 2u : 0u) + (inner_sorted ? 1u : 0u);
+    return Lookup(slot, compute);
+  }
+
+  /// The step's enforcer sort cost (sort of the inner on the join key).
+  template <typename F>
+  double Sort(const F& compute) {
+    return Lookup(kSortSlot, compute);
+  }
+
+ private:
+  static constexpr unsigned kNumMethods =
+      static_cast<unsigned>(JoinMethod::kHybridHash) + 1;
+  static constexpr unsigned kSortSlot = kNumMethods * 4;
+
+  template <typename F>
+  double Lookup(unsigned slot, const F& compute) {
+    uint32_t bit = uint32_t{1} << slot;
+    if ((valid_ & bit) == 0) {
+      value_[slot] = compute();
+      valid_ |= bit;
+    }
+    return value_[slot];
+  }
+
+  uint32_t valid_ = 0;
+  double value_[kSortSlot + 1] = {};
 };
 
 /// Reusable storage for RunDpInto: flat per-subset entry tables (stride =
@@ -613,6 +665,7 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
   // nothing.
   std::vector<TableSet>& live = scratch->live_subsets();
   std::vector<TableSet>& cand = scratch->candidate_subsets();
+  StepCostMemo memo;
   scratch->BeginCandidateEpoch();
   live.clear();
   for (QueryPos p = 0; p < n; ++p) live.push_back(TableSet{1} << p);
@@ -651,6 +704,7 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
         double left_pages = ctx.SubsetPages(sj);
         double right_pages = ctx.TablePages(j);
         double right_cost = scratch->Entries(TableSet{1} << j)[0].cost;
+        memo.Reset();
 
         // Cheapest conceivable step joining j to any left entry — shared
         // by every left expansion of this (s, j) pair.
@@ -703,7 +757,8 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
               double enforcer_cost = 0;
               if (with_enforcer) {
                 ++result->cost_evaluations;
-                enforcer_cost = cost.SortCost(right_pages, phase_idx);
+                enforcer_cost = memo.Sort(
+                    [&] { return cost.SortCost(right_pages, phase_idx); });
               }
               for (int inner = 0; inner < (with_enforcer ? 2 : 1); ++inner) {
                 bool inner_sorted = inner == 1;
@@ -711,9 +766,10 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
                 ++result->candidates_by_phase[static_cast<size_t>(phase_idx)];
                 ++result->cost_evaluations;
                 bool left_sorted = key != kUnsorted && left_order == key;
-                double step =
-                    cost.JoinCost(method, left_pages, right_pages,
-                                  left_sorted, inner_sorted, phase_idx);
+                double step = memo.Join(method, left_sorted, inner_sorted, [&] {
+                  return cost.JoinCost(method, left_pages, right_pages,
+                                       left_sorted, inner_sorted, phase_idx);
+                });
                 double total = left_cost + right_cost +
                                (inner_sorted ? enforcer_cost : 0.0) + step;
                 if constexpr (DpPruningProvider<P>) {

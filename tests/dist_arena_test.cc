@@ -265,5 +265,31 @@ TEST(DpAllocationTest, AlgorithmDArenaReachesSteadyState) {
   EXPECT_EQ(second.objective, warm.objective);
 }
 
+TEST(DpAllocationTest, AlgorithmDDerivesSizesOnlyForReachedSubsets) {
+  // A chain reaches O(n²) of the 2^n subsets; Algorithm D derives size
+  // distributions on demand, so its arena footprint follows the reached
+  // subsets, not 2^n. Uncertain sizes and selectivities keep every derived
+  // distribution at its full bucket budget, so an eager derivation would
+  // hold about 2^n × 2 × size_buckets doubles ((value, prob) per bucket).
+  constexpr int kTables = 12;
+  Rng rng(20260729);
+  WorkloadOptions wopts;
+  wopts.num_tables = kTables;
+  wopts.shape = JoinGraphShape::kChain;
+  wopts.table_size_spread = 2.0;
+  wopts.selectivity_spread = 3.0;
+  Workload w = GenerateWorkload(wopts, &rng);
+  CostModel model;
+  Distribution memory = UniformBuckets(50, 5000, 9);
+  DistArena arena;
+  OptimizerOptions opts;
+  opts.dist_arena = &arena;
+  OptimizeResult r =
+      OptimizeAlgorithmD(w.query, w.catalog, model, memory, opts);
+  ASSERT_NE(r.plan, nullptr);
+  size_t eager_doubles = (size_t{1} << kTables) * 2 * opts.size_buckets;
+  EXPECT_LT(arena.high_water_doubles() * 8, eager_doubles);
+}
+
 }  // namespace
 }  // namespace lec

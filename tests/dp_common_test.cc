@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cost/cost_policies.h"
+#include "cost/ec_cache.h"
 #include "dist/builders.h"
+#include "dist/simd.h"
+#include "optimizer/algorithm_d.h"
 #include "optimizer/exhaustive.h"
 #include "plan/plan.h"
 #include "query/generator.h"
 #include "util/rng.h"
+#include "verify/tolerance.h"
 
 namespace lec {
 namespace {
@@ -192,6 +199,240 @@ TEST(DpScratchTest, ReleaseReturnsRetainedBytesThenZero) {
   OptimizeResult after = RunDp(ctx, lsc);
   EXPECT_EQ(after.objective, before.objective);
   EXPECT_TRUE(PlanEquals(after.plan, before.plan));
+}
+
+// ---------------------------------------------------------------------------
+// Per-step cost memo (StepCostMemo). Within one join step the DP replays a
+// memoized formula value for every left order × sort-merge key repeat; the
+// contract is that this saves time only — objectives, plans and every
+// counter stay exactly what the formula-per-candidate enumeration gives.
+// RunDpLegacy and Algorithm D's legacy pipeline never memoize, so they are
+// the references.
+// ---------------------------------------------------------------------------
+
+/// Forwards to a provider and counts the formula runs that reach it.
+template <typename P>
+struct CountingProvider {
+  const P& inner;
+  mutable size_t join_runs = 0;
+  mutable size_t sort_runs = 0;
+
+  static constexpr bool kPruningDefaultOn = P::kPruningDefaultOn;
+
+  double JoinCost(JoinMethod m, double a, double b, bool ls, bool rs,
+                  int phase) const {
+    ++join_runs;
+    return inner.JoinCost(m, a, b, ls, rs, phase);
+  }
+  double SortCost(double pages, int phase) const {
+    ++sort_runs;
+    return inner.SortCost(pages, phase);
+  }
+  double StepFloor(JoinMethod m, double a, double b) const {
+    return inner.StepFloor(m, a, b);
+  }
+  double RemStepFloor(JoinMethod m, double a, double b) const {
+    return inner.RemStepFloor(m, a, b);
+  }
+};
+
+void ExpectSameCounters(const OptimizeResult& a, const OptimizeResult& b,
+                        const std::string& label) {
+  EXPECT_EQ(a.candidates_considered, b.candidates_considered) << label;
+  EXPECT_EQ(a.cost_evaluations, b.cost_evaluations) << label;
+  EXPECT_EQ(a.candidates_by_phase, b.candidates_by_phase) << label;
+  EXPECT_EQ(a.pruned_expansions, b.pruned_expansions) << label;
+  EXPECT_EQ(a.pruned_candidates, b.pruned_candidates) << label;
+  EXPECT_EQ(a.pruned_entries, b.pruned_entries) << label;
+  EXPECT_EQ(a.incumbent_cost_evaluations, b.incumbent_cost_evaluations)
+      << label;
+}
+
+/// Per-phase memory marginals for the lec_dynamic provider: distinct
+/// distributions so a phase mix-up would show.
+std::vector<Distribution> TestMarginals(int n) {
+  std::vector<Distribution> marginals;
+  for (int t = 0; t < std::max(n - 1, 1); ++t) {
+    marginals.push_back(t % 2 == 0 ? UniformBuckets(50, 5000, 27)
+                                   : UniformBuckets(20, 3000, 9));
+  }
+  return marginals;
+}
+
+/// Counter totals over the pruned runs of the StepMemoParity grid,
+/// summed in grid order.
+struct PrunedTotals {
+  size_t candidates = 0;
+  size_t cost_evaluations = 0;
+  size_t pruned_expansions = 0;
+  size_t pruned_candidates = 0;
+  size_t pruned_entries = 0;
+  size_t incumbent_cost_evaluations = 0;
+
+  void Add(const OptimizeResult& r) {
+    candidates += r.candidates_considered;
+    cost_evaluations += r.cost_evaluations;
+    pruned_expansions += r.pruned_expansions;
+    pruned_candidates += r.pruned_candidates;
+    pruned_entries += r.pruned_entries;
+    incumbent_cost_evaluations += r.incumbent_cost_evaluations;
+  }
+};
+
+TEST(StepCostMemoTest, StepMemoParity) {
+  PrunedTotals pruned;
+  for (JoinGraphShape shape :
+       {JoinGraphShape::kClique, JoinGraphShape::kStar}) {
+    for (int n = 7; n <= 9; ++n) {
+      Workload w = PruningWorkload(shape, n);
+      Distribution memory = UniformBuckets(50, 5000, 27);
+      std::vector<Distribution> marginals = TestMarginals(n);
+      for (bool discount : {false, true}) {
+        CostModelOptions mopts;
+        mopts.sorted_input_discount = discount;
+        CostModel model(mopts);
+        LscCostProvider lsc{model, 800};
+        LecStaticCostProvider lec_static{model, memory};
+        LecDynamicCostProvider lec_dynamic{model, marginals};
+        for (bool enforcers : {false, true}) {
+          for (DpPruning pruning : {DpPruning::kAuto, DpPruning::kOff}) {
+            OptimizerOptions opts;
+            opts.consider_sort_enforcers = enforcers;
+            opts.dp_pruning = pruning;
+            DpContext ctx(w.query, w.catalog, opts);
+            std::string label = "shape=" +
+                                std::to_string(static_cast<int>(shape)) +
+                                " n=" + std::to_string(n) +
+                                " discount=" + std::to_string(discount) +
+                                " enforcers=" + std::to_string(enforcers) +
+                                " pruning=" +
+                                std::to_string(static_cast<int>(pruning));
+            auto check = [&](const auto& provider, const char* regime) {
+              std::string where = label + " " + regime;
+              OptimizeResult neo = RunDp(ctx, provider);
+              OptimizeResult old = RunDpLegacy(ctx, provider);
+              EXPECT_EQ(neo.objective, old.objective) << where;  // bitwise
+              EXPECT_TRUE(PlanEquals(neo.plan, old.plan)) << where;
+              if (neo.incumbent_cost_evaluations == 0) {
+                // Unpruned: the enumeration is the legacy one, so every
+                // counter must match it tick for tick.
+                ExpectSameCounters(neo, old, where);
+              } else {
+                // Pruned: RunDpLegacy never prunes; the totals below pin
+                // these runs' counters instead.
+                pruned.Add(neo);
+              }
+            };
+            check(lsc, "lsc");
+            check(lec_static, "lec_static");
+            check(lec_dynamic, "lec_dynamic");
+          }
+        }
+      }
+    }
+  }
+  // kAuto prunes lsc and lec_static. These totals were recorded from the
+  // formula-per-candidate DP before StepCostMemo existed: the memo sits
+  // behind every branch-and-bound check, so it must not move them.
+  EXPECT_EQ(pruned.candidates, 1311688u);
+  EXPECT_EQ(pruned.cost_evaluations, 1628478u);
+  EXPECT_EQ(pruned.pruned_expansions, 1809u);
+  EXPECT_EQ(pruned.pruned_candidates, 387376u);
+  EXPECT_EQ(pruned.pruned_entries, 254633u);
+  EXPECT_EQ(pruned.incumbent_cost_evaluations, 7708u);
+}
+
+TEST(StepCostMemoTest, AlgorithmDStepMemoParity) {
+  // The kernel path memoizes per step (behind the EcCache); the legacy
+  // Distribution pipeline runs every formula. Scalar-pinned like fuzz
+  // invariant I7, whose strict plan equality would otherwise trip on true
+  // near-ties that reassociated vector sums resolve the other way.
+  simd::ScopedLevel pin(simd::Level::kScalar);
+  Distribution memory = UniformBuckets(50, 5000, 9);
+  for (JoinGraphShape shape :
+       {JoinGraphShape::kClique, JoinGraphShape::kStar}) {
+    for (int n = 7; n <= 9; ++n) {
+      Workload w = PruningWorkload(shape, n);
+      for (bool discount : {false, true}) {
+        CostModelOptions mopts;
+        mopts.sorted_input_discount = discount;
+        CostModel model(mopts);
+        for (bool enforcers : {false, true}) {
+          for (bool cached : {false, true}) {
+            std::string where = "shape=" +
+                                std::to_string(static_cast<int>(shape)) +
+                                " n=" + std::to_string(n) +
+                                " discount=" + std::to_string(discount) +
+                                " enforcers=" + std::to_string(enforcers) +
+                                " cached=" + std::to_string(cached);
+            EcCache kernel_cache;
+            EcCache legacy_cache;
+            OptimizerOptions kernel_opts;
+            kernel_opts.consider_sort_enforcers = enforcers;
+            if (cached) kernel_opts.ec_cache = &kernel_cache;
+            OptimizerOptions legacy_opts = kernel_opts;
+            legacy_opts.use_dist_kernels = false;
+            if (cached) legacy_opts.ec_cache = &legacy_cache;
+            OptimizeResult k =
+                OptimizeAlgorithmD(w.query, w.catalog, model, memory,
+                                   kernel_opts);
+            OptimizeResult l =
+                OptimizeAlgorithmD(w.query, w.catalog, model, memory,
+                                   legacy_opts);
+            EXPECT_TRUE(verify::ApproxEqual(k.objective, l.objective,
+                                            verify::kKernelParityRelTol))
+                << where << ": " << k.objective << " vs " << l.objective;
+            EXPECT_TRUE(PlanEquals(k.plan, l.plan)) << where;
+            ExpectSameCounters(k, l, where);
+            if (cached) {
+              // Behind the cache the memo leaves the cache's traffic as is.
+              EXPECT_EQ(kernel_cache.stats().hits, legacy_cache.stats().hits)
+                  << where;
+              EXPECT_EQ(kernel_cache.stats().misses,
+                        legacy_cache.stats().misses)
+                  << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(StepCostMemoTest, FormulaRunsOncePerStepAndKey) {
+  // The memo is what makes a step cost O(distinct keys), not O(candidates):
+  // on a clique with enforcers the legacy DP runs one formula per counted
+  // evaluation, while RunDp runs each at most once per (step, key).
+  Workload w = PruningWorkload(JoinGraphShape::kClique, 8);
+  CostModelOptions mopts;
+  mopts.sorted_input_discount = true;
+  CostModel model(mopts);
+  Distribution memory = UniformBuckets(50, 5000, 27);
+  LecStaticCostProvider lec{model, memory};
+  OptimizerOptions opts;
+  opts.consider_sort_enforcers = true;
+  opts.dp_pruning = DpPruning::kOff;
+  DpContext ctx(w.query, w.catalog, opts);
+
+  CountingProvider<LecStaticCostProvider> legacy_count{lec};
+  OptimizeResult old = RunDpLegacy(ctx, legacy_count);
+  EXPECT_EQ(legacy_count.join_runs + legacy_count.sort_runs,
+            old.cost_evaluations);
+
+  CountingProvider<LecStaticCostProvider> memo_count{lec};
+  OptimizeResult neo = RunDp(ctx, memo_count);
+  EXPECT_EQ(neo.cost_evaluations, old.cost_evaluations);
+  // (s, j) steps of an n-clique: every j of every subset of size >= 2.
+  int n = w.query.num_tables();
+  size_t steps = static_cast<size_t>(n) * (size_t{1} << (n - 1)) -
+                 static_cast<size_t>(n);
+  size_t distinct_keys = 3 * 4 + 1;  // (method, ls, rs) slots + enforcer
+  // Plus at most one final ORDER BY sort per root entry (one per order).
+  size_t root_sorts = static_cast<size_t>(w.query.num_predicates()) + 1;
+  EXPECT_LE(memo_count.join_runs + memo_count.sort_runs,
+            steps * distinct_keys + root_sorts);
+  EXPECT_LT(4 * (memo_count.join_runs + memo_count.sort_runs),
+            neo.cost_evaluations);
 }
 
 TEST(ExhaustiveTest, PlanCountForTwoTables) {
