@@ -8,6 +8,12 @@
 // the sort-based and hash-based operators match its shape (the model's
 // stylized 2/4/6 multipliers undercount the re-read of the final pass by a
 // constant factor — see EXPERIMENTS.md).
+//
+// The I/O is charged page by page as the textbook algorithms move pages;
+// the CPU work runs on the relations' contiguous tuple arrays. Every
+// equi-join match is found through one array-chained hash index, and each
+// operator's output order is deterministic and pinned by the byte-identity
+// tests (join_operators_test.cc).
 #ifndef LECOPT_STORAGE_JOIN_OPERATORS_H_
 #define LECOPT_STORAGE_JOIN_OPERATORS_H_
 
@@ -29,7 +35,9 @@ struct JoinColumnSpec {
 };
 
 /// Sort-merge join: forms sorted runs per side (skipped for a pre-sorted
-/// side), merges runs down until the final fan-in fits, then merge-joins.
+/// side), merges runs down until the final fan-in fits, then merge-joins
+/// the stably merged runs. A side flagged pre-sorted must be sorted on its
+/// join column; throws std::invalid_argument otherwise.
 TableData SortMergeJoinOp(BufferPool* pool, const TableData& left,
                           const TableData& right, const JoinColumnSpec& spec,
                           bool left_sorted = false, bool right_sorted = false);
@@ -41,7 +49,8 @@ TableData GraceHashJoinOp(BufferPool* pool, const TableData& left,
                           const TableData& right, const JoinColumnSpec& spec);
 
 /// Nested-loop join per the paper's formula: inner relation in memory if it
-/// fits (M >= S+2), else one-page-at-a-time outer loops.
+/// fits (M >= S+2), else one-page-at-a-time outer loops that emit each
+/// outer page's matches in (inner page, outer slot, inner slot) order.
 TableData NestedLoopJoinOp(BufferPool* pool, const TableData& left,
                            const TableData& right,
                            const JoinColumnSpec& spec);

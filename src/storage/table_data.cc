@@ -1,35 +1,19 @@
 #include "storage/table_data.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "util/hash.h"
 
 namespace lec {
 
-size_t TableData::num_tuples() const {
-  size_t n = 0;
-  for (const Page& p : pages_) n += p.size();
-  return n;
-}
-
-void TableData::Append(const Tuple& t) {
-  if (pages_.empty() || pages_.back().Full()) pages_.emplace_back();
-  pages_.back().Append(t);
-}
-
-std::vector<Tuple> TableData::AllTuples() const {
-  std::vector<Tuple> out;
-  out.reserve(num_tuples());
-  for (const Page& p : pages_) {
-    for (const Tuple& t : p.tuples()) out.push_back(t);
-  }
-  return out;
-}
-
 TableData GenerateTable(size_t num_pages, int64_t key_range0,
                         int64_t key_range1, Rng* rng) {
-  TableData out;
+  std::vector<Tuple> tuples;
+  tuples.reserve(num_pages * kTuplesPerPage);
   int64_t row = 0;
   for (size_t p = 0; p < num_pages; ++p) {
     for (size_t i = 0; i < kTuplesPerPage; ++i, ++row) {
@@ -40,10 +24,10 @@ TableData GenerateTable(size_t num_pages, int64_t key_range0,
       // CombineTuples' additive lineage fingerprint needs a hashed domain,
       // and distinct-count sketches are unaffected (one payload per row).
       t.payload = static_cast<int64_t>(SplitMix64(static_cast<uint64_t>(row)));
-      out.Append(t);
+      tuples.push_back(t);
     }
   }
-  return out;
+  return TableData(std::move(tuples));
 }
 
 int64_t KeyRangeForSelectivity(double selectivity) {

@@ -1,44 +1,74 @@
-// Materialized synthetic relations.
+// Tuples and materialized synthetic relations for the mini storage engine.
+//
+// The engine exists to validate the analytic cost model against a system
+// that actually moves pages (DESIGN.md, system #15): synthetic tuples, a
+// fixed tuples-per-page layout, and join keys in two columns so that chain
+// queries can join a relation to two different neighbours.
+//
+// A relation is one contiguous tuple array. Page i is the kTuplesPerPage
+// slice starting at tuple i·kTuplesPerPage; a relation only grows at its
+// end, so every page but the last is full and the page count is a function
+// of the tuple count alone.
 #ifndef LECOPT_STORAGE_TABLE_DATA_H_
 #define LECOPT_STORAGE_TABLE_DATA_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
-#include "storage/page.h"
 #include "util/rng.h"
 
 namespace lec {
+
+/// A synthetic row: two join-key columns and a payload.
+struct Tuple {
+  int64_t cols[2] = {0, 0};
+  int64_t payload = 0;
+};
+
+/// Tuples per page; fixed so page counts translate to row counts.
+inline constexpr size_t kTuplesPerPage = 64;
+
+/// Pages occupied by `n` tuples.
+inline constexpr size_t PagesForTuples(size_t n) {
+  return (n + kTuplesPerPage - 1) / kTuplesPerPage;
+}
 
 /// A relation stored as a sequence of pages ("on disk"). All operator I/O
 /// against it is charged through the BufferPool.
 class TableData {
  public:
   TableData() = default;
+  /// Adopts `tuples` in storage order.
+  explicit TableData(std::vector<Tuple> tuples) : tuples_(std::move(tuples)) {}
 
-  size_t num_pages() const { return pages_.size(); }
-  size_t num_tuples() const;
-  const Page& page(size_t i) const { return pages_[i]; }
+  size_t num_pages() const { return PagesForTuples(tuples_.size()); }
+  size_t num_tuples() const { return tuples_.size(); }
 
-  /// Appends `t`, opening a new page when the last is full.
-  void Append(const Tuple& t);
+  /// Page `i` (i < num_pages()): kTuplesPerPage tuples, fewer on the last.
+  std::span<const Tuple> page(size_t i) const {
+    size_t begin = i * kTuplesPerPage;
+    return tuples().subspan(begin,
+                            std::min(kTuplesPerPage, tuples_.size() - begin));
+  }
 
-  /// Flattens to a tuple vector (test helper).
-  std::vector<Tuple> AllTuples() const;
+  /// Every tuple in storage order.
+  std::span<const Tuple> tuples() const { return tuples_; }
 
-  /// Streams every tuple in storage order without materializing a copy —
-  /// the statistics ingest path (src/stats/) sketches millions of rows and
-  /// must not pay an AllTuples allocation per pass.
+  /// Appends `t` to the last page, opening a new page when it is full.
+  void Append(const Tuple& t) { tuples_.push_back(t); }
+
+  /// Calls `fn` on every tuple in storage order.
   template <class Fn>
   void ForEachTuple(Fn&& fn) const {
-    for (const Page& p : pages_) {
-      for (const Tuple& t : p.tuples()) fn(t);
-    }
+    for (const Tuple& t : tuples_) fn(t);
   }
 
  private:
-  std::vector<Page> pages_;
+  std::vector<Tuple> tuples_;
 };
 
 /// Generates `num_pages` full pages whose column c is uniform in

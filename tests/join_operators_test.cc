@@ -1,6 +1,9 @@
 #include "storage/join_operators.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -15,7 +18,7 @@ JoinColumnSpec spec_default() { return JoinColumnSpec{}; }
 
 std::vector<int64_t> PayloadMultiset(const TableData& t) {
   std::vector<int64_t> out;
-  for (const Tuple& x : t.AllTuples()) out.push_back(x.payload);
+  for (const Tuple& x : t.tuples()) out.push_back(x.payload);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -81,7 +84,7 @@ TEST(JoinOperatorsTest, ColumnSpecRoutesOutputs) {
   spec.out1_side = 1;
   spec.out1_col = 1;  // right's col1
   TableData out = NaiveJoinReference(left, right, spec);
-  for (const Tuple& t : out.AllTuples()) {
+  for (const Tuple& t : out.tuples()) {
     EXPECT_LT(t.cols[0], 20);
     EXPECT_LT(t.cols[1], 30);
   }
@@ -96,7 +99,7 @@ TEST(JoinOperatorsTest, SortMergeOutputSortedOnKey) {
   spec.out0_col = 0;  // output col0 = the join key
   BufferPool pool(4);
   TableData out = SortMergeJoinOp(&pool, left, right, spec);
-  std::vector<Tuple> tuples = out.AllTuples();
+  std::span<const Tuple> tuples = out.tuples();
   for (size_t i = 1; i < tuples.size(); ++i) {
     EXPECT_LE(tuples[i - 1].cols[0], tuples[i].cols[0]);
   }
@@ -164,6 +167,42 @@ TEST(JoinOperatorsTest, SortMergePresortedSkipsRunFormation) {
   EXPECT_EQ(PayloadMultiset(out), PayloadMultiset(out2));
 }
 
+TEST(JoinOperatorsTest, SortMergeRejectsUnsortedPresortedInput) {
+  // The final pass merges sorted runs instead of re-sorting them, so a side
+  // flagged pre-sorted is consumed as one sorted run. If it is not sorted
+  // on its join column the merge-join would silently drop matches; the
+  // operator must refuse it instead.
+  Rng rng(7);
+  TableData left = GenerateTable(6, 50, 50, &rng);
+  TableData right = GenerateTable(5, 50, 50, &rng);
+  BufferPool sort_pool(64);
+  TableData left_by_col0 = ExternalSortOp(&sort_pool, left, 0);
+  TableData right_by_col0 = ExternalSortOp(&sort_pool, right, 0);
+  JoinColumnSpec spec;  // col0 = col0
+  for (size_t m : {3, 64}) {
+    BufferPool pool(m);
+    EXPECT_THROW(SortMergeJoinOp(&pool, left, right_by_col0, spec,
+                                 /*left_sorted=*/true, /*right_sorted=*/true),
+                 std::invalid_argument);
+    EXPECT_THROW(SortMergeJoinOp(&pool, left_by_col0, right, spec,
+                                 /*left_sorted=*/true, /*right_sorted=*/true),
+                 std::invalid_argument);
+    // Sorted on the other column only: still not sorted on the join key.
+    JoinColumnSpec on_col1;
+    on_col1.left_col = 1;
+    on_col1.right_col = 1;
+    EXPECT_THROW(SortMergeJoinOp(&pool, left_by_col0, right_by_col0, on_col1,
+                                 /*left_sorted=*/true, /*right_sorted=*/false),
+                 std::invalid_argument);
+    // Correctly flagged inputs still join to the reference multiset.
+    TableData got = SortMergeJoinOp(&pool, left_by_col0, right_by_col0, spec,
+                                    /*left_sorted=*/true,
+                                    /*right_sorted=*/true);
+    EXPECT_EQ(PayloadMultiset(got),
+              PayloadMultiset(NaiveJoinReference(left, right, spec)));
+  }
+}
+
 TEST(JoinOperatorsTest, GraceHashIoTracksModelShape) {
   Rng rng(6);
   TableData left = GenerateTable(100, 3000, 0, &rng);
@@ -221,6 +260,103 @@ TEST(JoinOperatorsTest, DisjointKeysYieldEmptyResult) {
     }
     EXPECT_EQ(out.num_tuples(), 0u) << ToString(m);
   }
+}
+
+// --- Byte identity ------------------------------------------------------------
+// The operators' exact output sequences and I/O counters are pinned, not just
+// their multisets: the executor's plans, drift decisions and every counter
+// downstream (lecbench's COUNTERS line) depend on them. The pinned values
+// were computed by the per-page-vector engine with unordered_multimap probes
+// and a stable_sort of the concatenated sorted runs; any reordering of equal
+// keys, any extra or missing page charge changes them.
+
+/// FNV-1a over 64-bit words.
+struct Fnv1a {
+  uint64_t h = 14695981039346656037ULL;
+  void Add(uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ULL;
+  }
+  void Add(const Tuple& t) {
+    Add(static_cast<uint64_t>(t.cols[0]));
+    Add(static_cast<uint64_t>(t.cols[1]));
+    Add(static_cast<uint64_t>(t.payload));
+  }
+};
+
+enum class GridOp { kNestedLoop, kSortMerge, kSortMergePresorted, kGraceHash };
+
+/// Fingerprint of `op` over left 1-13 pages x right 1-11 pages x key range
+/// {4, 64, 640, 6400} x M in {3, 4, 5, 9, 17, 33}, with the executor's
+/// forward chain routing. kSortMergePresorted first sorts the right side
+/// with ExternalSortOp (whose I/O is hashed too) and flags it pre-sorted.
+uint64_t GridFingerprint(GridOp op) {
+  JoinColumnSpec spec;
+  spec.left_col = 1;
+  spec.right_col = 0;
+  spec.out0_side = 0;
+  spec.out0_col = 0;
+  spec.out1_side = 1;
+  spec.out1_col = 1;
+  const int64_t kRanges[] = {4, 64, 640, 6400};
+  const size_t kMemories[] = {3, 4, 5, 9, 17, 33};
+  Fnv1a h;
+  for (size_t l = 1; l <= 13; ++l) {
+    for (size_t r = 1; r <= 11; ++r) {
+      for (int64_t range : kRanges) {
+        Rng rng(l * 10007 + r * 101 + static_cast<uint64_t>(range));
+        TableData left = GenerateTable(l, range, range, &rng);
+        TableData right = GenerateTable(r, range, range, &rng);
+        for (size_t m : kMemories) {
+          BufferPool pool(m);
+          TableData out;
+          switch (op) {
+            case GridOp::kNestedLoop:
+              out = NestedLoopJoinOp(&pool, left, right, spec);
+              break;
+            case GridOp::kSortMerge:
+              out = SortMergeJoinOp(&pool, left, right, spec);
+              break;
+            case GridOp::kSortMergePresorted: {
+              BufferPool sort_pool(m);
+              TableData sorted = ExternalSortOp(&sort_pool, right, 0);
+              h.Add(sort_pool.reads());
+              h.Add(sort_pool.writes());
+              out = SortMergeJoinOp(&pool, left, sorted, spec,
+                                    /*left_sorted=*/false,
+                                    /*right_sorted=*/true);
+              break;
+            }
+            case GridOp::kGraceHash:
+              out = GraceHashJoinOp(&pool, left, right, spec);
+              break;
+          }
+          h.Add(out.num_tuples());
+          out.ForEachTuple([&](const Tuple& t) { h.Add(t); });
+          h.Add(pool.reads());
+          h.Add(pool.writes());
+        }
+      }
+    }
+  }
+  return h.h;
+}
+
+TEST(JoinOperatorsByteIdentityTest, NestedLoop) {
+  EXPECT_EQ(GridFingerprint(GridOp::kNestedLoop), 0xa33b3f9a81874ebfULL);
+}
+
+TEST(JoinOperatorsByteIdentityTest, SortMerge) {
+  EXPECT_EQ(GridFingerprint(GridOp::kSortMerge), 0xc6b557aa6fb48ca1ULL);
+}
+
+TEST(JoinOperatorsByteIdentityTest, SortMergePresortedRight) {
+  EXPECT_EQ(GridFingerprint(GridOp::kSortMergePresorted),
+            0xfcad71f49c07eeafULL);
+}
+
+TEST(JoinOperatorsByteIdentityTest, GraceHash) {
+  EXPECT_EQ(GridFingerprint(GridOp::kGraceHash), 0x954dc873107ac983ULL);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -411,6 +412,102 @@ TEST(PlanExecutorTest, ReoptimizationWithMarkovChainPreservesResult) {
   ExecutionResult r = ExecutePlan(plan, f.query, f.data, opts);
   EXPECT_GT(r.reoptimizations, 0);
   EXPECT_EQ(PayloadMultiset(r.result), want);
+}
+
+/// FNV-1a over 64-bit words.
+struct Fnv1a {
+  uint64_t h = 14695981039346656037ULL;
+  void Add(uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ULL;
+  }
+  void Add(double v) { Add(std::bit_cast<uint64_t>(v)); }
+};
+
+void HashExecution(const ExecutionResult& r, Fnv1a* h) {
+  h->Add(static_cast<uint64_t>(r.reoptimizations));
+  h->Add(r.page_reads);
+  h->Add(r.page_writes);
+  for (const PhaseTrace& t : r.phases) {
+    h->Add(static_cast<uint64_t>(t.phase));
+    h->Add(static_cast<uint64_t>(t.is_sort));
+    h->Add(static_cast<uint64_t>(t.method));
+    h->Add(t.left_pages);
+    h->Add(t.right_pages);
+    h->Add(t.planned_output_pages);
+    h->Add(t.realized_output_pages);
+    h->Add(t.page_reads);
+    h->Add(t.page_writes);
+    h->Add(t.memory);
+    h->Add(static_cast<uint64_t>(t.drifted));
+  }
+  h->Add(static_cast<uint64_t>(r.result_tuples()));
+  r.result.ForEachTuple([&](const Tuple& t) {
+    h->Add(static_cast<uint64_t>(t.cols[0]));
+    h->Add(static_cast<uint64_t>(t.cols[1]));
+    h->Add(static_cast<uint64_t>(t.payload));
+  });
+}
+
+TEST(PlanExecutorTest, ReoptimizingRunsAreByteIdentical) {
+  // Pins every PhaseTrace and the exact result-tuple sequence of
+  // re-optimizing executions — hand-built plans with and without inner
+  // sort enforcers and a root sort, every method, static and Markov
+  // re-planning — to the values the per-page-vector engine produced.
+  // Re-planned suffixes are the optimizer's own plans, so this also covers
+  // the operators' pre-sorted sort-merge path as the optimizer uses it.
+  CostModel model;
+  // Every memory value in the trajectories is a state of the chain.
+  MarkovChain chain =
+      MarkovChain::Drift({3.0, 4.0, 5.0, 6.0, 9.0, 12.0, 17.0, 20.0}, 0.5);
+  const std::vector<std::vector<double>> trajectories = {
+      {12.0, 6.0, 20.0}, {3.0, 4.0, 5.0, 3.0}, {17.0, 3.0, 9.0}};
+  struct Case {
+    std::vector<double> pages;
+    double sel;
+    uint64_t seed;
+    std::vector<QueryPos> order;
+  };
+  const Case cases[] = {
+      {{18, 10, 14, 8}, 0.03, 13, {0, 1, 2, 3}},
+      {{18, 10, 14, 8}, 0.03, 29, {2, 1, 3, 0}},
+      {{24, 6, 30, 12, 9}, 0.02, 41, {1, 2, 0, 3, 4}},
+  };
+  Fnv1a h;
+  for (const Case& c : cases) {
+    ChainFixture f(c.pages, c.sel, c.seed);
+    for (JoinMethod m : kAllJoinMethods) {
+      if (m == JoinMethod::kHybridHash) continue;
+      for (size_t ti = 0; ti < trajectories.size(); ++ti) {
+        for (int variant = 0; variant < 3; ++variant) {
+          // variant 0: plain; 1: inner sort enforcers + root sort;
+          // 2: Markov-conditioned re-planning.
+          PlanPtr plan = MakeAccess(c.order[0], 1);
+          int lo = c.order[0], hi = c.order[0];
+          for (size_t i = 1; i < c.order.size(); ++i) {
+            int j = c.order[i];
+            int pred = j == hi + 1 ? hi : j;
+            lo = std::min(lo, j);
+            hi = std::max(hi, j);
+            PlanPtr inner = MakeAccess(j, 1);
+            if (variant == 1) inner = MakeSort(inner, 0);
+            plan = MakeJoin(plan, inner, m, {pred}, kUnsorted, 0.01);
+          }
+          if (variant == 1) plan = MakeSort(plan, 0);
+          ExecutePlanOptions opts;
+          opts.memory_by_phase = trajectories[ti];
+          opts.drift_threshold = 0.0;
+          opts.reoptimize_on_drift = true;
+          opts.model = &model;
+          if (variant == 2) opts.chain = &chain;
+          ExecutionResult r = ExecutePlan(plan, f.query, f.data, opts);
+          EXPECT_GT(r.reoptimizations, 0);
+          HashExecution(r, &h);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(h.h, 0xb43a839ba7f50cf5ULL);
 }
 
 // --- Measured cost model ---------------------------------------------------

@@ -1,10 +1,10 @@
 #include <algorithm>
+#include <span>
 
 #include <gtest/gtest.h>
 
 #include "storage/buffer_pool.h"
 #include "storage/external_sort.h"
-#include "storage/page.h"
 #include "storage/table_data.h"
 #include "cost/cost_model.h"
 #include "util/hash.h"
@@ -13,14 +13,23 @@
 namespace lec {
 namespace {
 
-TEST(PageTest, CapacityEnforced) {
-  Page p;
-  for (size_t i = 0; i < kTuplesPerPage; ++i) {
-    EXPECT_TRUE(p.Append({{static_cast<int64_t>(i), 0}, 0}));
+TEST(TableDataTest, PagesAreFullSlicesButTheLast) {
+  // Page i is the kTuplesPerPage-tuple slice at i·kTuplesPerPage: every
+  // page but the last is full, and pages tile the tuples in order.
+  TableData t;
+  for (size_t i = 0; i < kTuplesPerPage * 2 + 5; ++i) {
+    t.Append({{static_cast<int64_t>(i), 0}, 0});
   }
-  EXPECT_TRUE(p.Full());
-  EXPECT_FALSE(p.Append({{0, 0}, 0}));
-  EXPECT_EQ(p.size(), kTuplesPerPage);
+  ASSERT_EQ(t.num_pages(), 3u);
+  EXPECT_EQ(t.page(0).size(), kTuplesPerPage);
+  EXPECT_EQ(t.page(1).size(), kTuplesPerPage);
+  EXPECT_EQ(t.page(2).size(), 5u);
+  int64_t next = 0;
+  for (size_t p = 0; p < t.num_pages(); ++p) {
+    for (const Tuple& tup : t.page(p)) EXPECT_EQ(tup.cols[0], next++);
+  }
+  EXPECT_EQ(static_cast<size_t>(next), t.num_tuples());
+  EXPECT_EQ(TableData().num_pages(), 0u);
 }
 
 TEST(TableDataTest, AppendOpensNewPages) {
@@ -30,7 +39,7 @@ TEST(TableDataTest, AppendOpensNewPages) {
   }
   EXPECT_EQ(t.num_pages(), 3u);
   EXPECT_EQ(t.num_tuples(), kTuplesPerPage * 2 + 5);
-  EXPECT_EQ(t.AllTuples().size(), t.num_tuples());
+  EXPECT_EQ(t.tuples().size(), t.num_tuples());
 }
 
 TEST(TableDataTest, GenerateTableShape) {
@@ -39,7 +48,7 @@ TEST(TableDataTest, GenerateTableShape) {
   EXPECT_EQ(t.num_pages(), 10u);
   EXPECT_EQ(t.num_tuples(), 10 * kTuplesPerPage);
   int64_t row = 0;
-  for (const Tuple& tup : t.AllTuples()) {
+  for (const Tuple& tup : t.tuples()) {
     EXPECT_GE(tup.cols[0], 0);
     EXPECT_LT(tup.cols[0], 100);
     EXPECT_EQ(tup.cols[1], row);  // key_range 0 -> row id
@@ -101,13 +110,13 @@ TEST(ExternalSortTest, SortsCorrectly) {
   BufferPool pool(5);
   TableData sorted = ExternalSortOp(&pool, t, 0);
   EXPECT_EQ(sorted.num_tuples(), t.num_tuples());
-  std::vector<Tuple> tuples = sorted.AllTuples();
+  std::span<const Tuple> tuples = sorted.tuples();
   for (size_t i = 1; i < tuples.size(); ++i) {
     EXPECT_LE(tuples[i - 1].cols[0], tuples[i].cols[0]);
   }
   // Multiset of keys preserved.
   std::vector<int64_t> orig, after;
-  for (const Tuple& x : t.AllTuples()) orig.push_back(x.payload);
+  for (const Tuple& x : t.tuples()) orig.push_back(x.payload);
   for (const Tuple& x : tuples) after.push_back(x.payload);
   std::sort(orig.begin(), orig.end());
   std::sort(after.begin(), after.end());
@@ -149,7 +158,7 @@ TEST(ExternalSortTest, SortByEitherColumn) {
   TableData t = GenerateTable(12, 50, 90, &rng);
   BufferPool pool(4);
   TableData sorted = ExternalSortOp(&pool, t, 1);
-  std::vector<Tuple> tuples = sorted.AllTuples();
+  std::span<const Tuple> tuples = sorted.tuples();
   for (size_t i = 1; i < tuples.size(); ++i) {
     EXPECT_LE(tuples[i - 1].cols[1], tuples[i].cols[1]);
   }
@@ -159,9 +168,10 @@ TEST(ExternalSortTest, RunFormationRespectsMemory) {
   Rng rng(6);
   TableData t = GenerateTable(20, 100, 0, &rng);
   BufferPool pool(4);
-  std::vector<std::vector<Tuple>> runs = FormSortedRuns(&pool, t, 0);
+  SortedRuns runs = FormSortedRuns(&pool, t, 0);
   EXPECT_EQ(runs.size(), 5u);  // ceil(20 / 4)
-  for (const auto& run : runs) {
+  for (size_t r = 0; r < runs.size(); ++r) {
+    std::span<const Tuple> run = runs.run(r);
     EXPECT_LE(PagesForTuples(run.size()), 4u);
     for (size_t i = 1; i < run.size(); ++i) {
       EXPECT_LE(run[i - 1].cols[0], run[i].cols[0]);
